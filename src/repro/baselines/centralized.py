@@ -9,27 +9,11 @@ no distribution.
 """
 from __future__ import annotations
 
-from typing import Mapping
-
 import pandas as pd
 
-from ..core.compiler_sql import DuckdbEvaluator, eval_duckdb
-from ..core.cost import GraphStats
-from ..core.planner import plan_crpq
+from ..core.compiler_sql import eval_duckdb
 from ..core.query2mu import GRAPH
-from ..core.rpq import CRPQ
 from ..core.terms import Term
-
-
-def eval_crpq_centralized(
-    graph: pd.DataFrame,
-    q: CRPQ | str,
-    consts: Mapping[str, int] | None = None,
-    stats: GraphStats | None = None,
-) -> pd.DataFrame:
-    stats = stats or GraphStats.from_pandas(graph)
-    report = plan_crpq(q, stats, consts or {})
-    return eval_term_centralized(report.term, graph)
 
 
 def eval_term_centralized(
@@ -38,10 +22,4 @@ def eval_term_centralized(
     """``row_cap`` models the paper's centralized-μ-RA timeouts on
     exploding closures (Fig. 10: it times out on every concatenated-
     closure query)."""
-    if row_cap is None:
-        return eval_duckdb(term, {GRAPH: graph})
-    ev = DuckdbEvaluator({GRAPH: graph}, row_cap=row_cap)
-    try:
-        return ev.evaluate(term)
-    finally:
-        ev.con.close()
+    return eval_duckdb(term, {GRAPH: graph}, row_cap=row_cap)

@@ -33,16 +33,14 @@ from .terms import (
     Var,
 )
 
+# Iteration bound shared by every fixpoint loop (pandas, DuckDB, P_gld).
 MAX_ITERATIONS = 100_000
-
-# Optional global row cap for fixpoints (None = unlimited). Baselines set
-# it to model the paper's observed crashes/timeouts on exploding closures
-# (e.g. Myria on rnd_10k_0.001 same-generation).
-ROW_CAP: int | None = None
 
 
 class CapacityError(RuntimeError):
-    """A fixpoint exceeded ROW_CAP (≙ the paper's crash markers)."""
+    """A fixpoint or message volume exceeded its ``row_cap`` (≙ the
+    paper's crash markers). The one capacity error of every engine and
+    baseline."""
 
 
 def dedup(df: pd.DataFrame) -> pd.DataFrame:
@@ -83,45 +81,55 @@ def anti_join(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def eval_pandas(term: Term, env: Mapping[str, pd.DataFrame]) -> pd.DataFrame:
+def eval_pandas(
+    term: Term, env: Mapping[str, pd.DataFrame], row_cap: int | None = None
+) -> pd.DataFrame:
     """Evaluate ``term``; ``env`` binds relation names *and* any free
-    recursion variables to frames. The result is deduplicated."""
-    return dedup(_eval(term, dict(env)))
+    recursion variables to frames. The result is deduplicated.
+
+    A fixpoint whose result grows beyond ``row_cap`` rows (None =
+    unlimited) raises :class:`CapacityError`; baselines use it to model
+    the paper's crashes on exploding closures (e.g. Myria on
+    rnd_10k_0.001 same-generation).
+    """
+    return dedup(_eval(term, dict(env), row_cap))
 
 
-def _eval(t: Term, env: dict[str, pd.DataFrame]) -> pd.DataFrame:
+def _eval(t: Term, env: dict[str, pd.DataFrame], row_cap: int | None) -> pd.DataFrame:
     if isinstance(t, Rel):
         return env[t.name]
     if isinstance(t, Var):
         return env[t.name]
     if isinstance(t, Union_):
-        return set_union(_eval(t.left, env), _eval(t.right, env))
+        return set_union(_eval(t.left, env, row_cap), _eval(t.right, env, row_cap))
     if isinstance(t, Join):
-        return natural_join(_eval(t.left, env), _eval(t.right, env))
+        return natural_join(_eval(t.left, env, row_cap), _eval(t.right, env, row_cap))
     if isinstance(t, AntiJoin):
-        return anti_join(_eval(t.left, env), _eval(t.right, env))
+        return anti_join(_eval(t.left, env, row_cap), _eval(t.right, env, row_cap))
     if isinstance(t, Filter):
-        df = _eval(t.child, env)
+        df = _eval(t.child, env, row_cap)
         if isinstance(t.cond, EqConst):
             return df[df[t.cond.col] == t.cond.value]
         if isinstance(t.cond, EqCol):
             return df[df[t.cond.col1] == df[t.cond.col2]]
         raise TypeError(f"unknown condition {t.cond!r}")
     if isinstance(t, AntiProject):
-        return dedup(_eval(t.child, env).drop(columns=list(t.cols)))
+        return dedup(_eval(t.child, env, row_cap).drop(columns=list(t.cols)))
     if isinstance(t, Rename):
-        return _eval(t.child, env).rename(columns={t.old: t.new})
+        return _eval(t.child, env, row_cap).rename(columns={t.old: t.new})
     if isinstance(t, Fix):
-        return _eval_fix(t, env)
+        return _eval_fix(t, env, row_cap)
     raise TypeError(f"not a μ-RA term: {t!r}")
 
 
-def _eval_fix(fix: Fix, env: dict[str, pd.DataFrame]) -> pd.DataFrame:
+def _eval_fix(
+    fix: Fix, env: dict[str, pd.DataFrame], row_cap: int | None
+) -> pd.DataFrame:
     """Semi-naive fixpoint (paper Algorithm 1) over pandas frames."""
     check_fcond(fix)
     const, phi = constant_variable_split(fix)
-    r = dedup(_eval(const, env))
-    return seminaive_loop(phi, fix.var, r, env)
+    r = dedup(_eval(const, env, row_cap))
+    return seminaive_loop(phi, fix.var, r, env, row_cap)
 
 
 def seminaive_loop(
@@ -129,6 +137,7 @@ def seminaive_loop(
     var: str,
     seeds: pd.DataFrame,
     env: Mapping[str, pd.DataFrame],
+    row_cap: int | None = None,
 ) -> pd.DataFrame:
     """Run Algorithm 1 locally: X=R; new=R; while new: new=φ(new)∖X; X∪=new.
 
@@ -143,11 +152,11 @@ def seminaive_loop(
         if new.empty:
             return x.reset_index(drop=True)
         base_env[var] = new
-        delta_parts = [_eval(b, base_env) for b in branches]
+        delta_parts = [_eval(b, base_env, row_cap) for b in branches]
         delta = dedup(pd.concat([p[sorted(x.columns)] for p in delta_parts], ignore_index=True)) if delta_parts else new.iloc[0:0]
         new = set_difference(delta, x)
         if not new.empty:
             x = pd.concat([x, new], ignore_index=True)
-            if ROW_CAP is not None and len(x) > ROW_CAP:
-                raise CapacityError(f"fixpoint exceeded ROW_CAP={ROW_CAP}")
+            if row_cap is not None and len(x) > row_cap:
+                raise CapacityError(f"fixpoint exceeded row_cap={row_cap}")
     raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")

@@ -42,7 +42,6 @@ class FixConfig:
 
     strategy: str = "auto"
     num_partitions: int | None = None
-    max_iterations: int = 100_000
     # Abort a fixpoint whose accumulated result exceeds this many rows
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.

@@ -21,6 +21,7 @@ from typing import Mapping
 import duckdb
 import pandas as pd
 
+from .compiler_pandas import MAX_ITERATIONS, CapacityError
 from .fcond import check_fcond, constant_variable_split, union_branches
 from .terms import (
     AntiJoin,
@@ -36,10 +37,9 @@ from .terms import (
     Term,
     Union_,
     Var,
+    map_children,
     schema,
 )
-
-MAX_ITERATIONS = 100_000
 
 
 def _quote(v) -> str:
@@ -61,7 +61,6 @@ def to_sql(
     """
     bound = dict(bound or {})
     counter = itertools.count()
-    bound_schemas = {v: None for v in bound}  # filled lazily below
 
     def sch(t: Term) -> frozenset[str]:
         # Recursion variables carry the schema of the table they are
@@ -130,7 +129,6 @@ def to_sql(
             raise SchemaError("to_sql only compiles fixpoint-free terms")
         raise TypeError(f"not a μ-RA term: {t!r}")
 
-    del bound_schemas
     return rec(t)
 
 
@@ -182,27 +180,7 @@ class DuckdbEvaluator:
         materialized result table."""
         if isinstance(t, Fix):
             return Rel(self._eval_fix(t, bound))
-        if isinstance(t, (Rel, Var)):
-            return t
-        if isinstance(t, Union_):
-            return Union_(
-                self._lift_fixpoints(t.left, bound), self._lift_fixpoints(t.right, bound)
-            )
-        if isinstance(t, Join):
-            return Join(
-                self._lift_fixpoints(t.left, bound), self._lift_fixpoints(t.right, bound)
-            )
-        if isinstance(t, AntiJoin):
-            return AntiJoin(
-                self._lift_fixpoints(t.left, bound), self._lift_fixpoints(t.right, bound)
-            )
-        if isinstance(t, Filter):
-            return Filter(t.cond, self._lift_fixpoints(t.child, bound))
-        if isinstance(t, AntiProject):
-            return AntiProject(t.cols, self._lift_fixpoints(t.child, bound))
-        if isinstance(t, Rename):
-            return Rename(t.old, t.new, self._lift_fixpoints(t.child, bound))
-        raise TypeError(f"not a μ-RA term: {t!r}")
+        return map_children(t, lambda c: self._lift_fixpoints(c, bound))
 
     def _eval_fix(self, fix: Fix, bound: dict[str, str]) -> str:
         check_fcond(fix)
@@ -245,15 +223,16 @@ class DuckdbEvaluator:
             if self.row_cap is not None:
                 sz = self.con.execute(f"SELECT count(*) FROM {xt}").fetchone()[0]
                 if sz > self.row_cap:
-                    from .compiler_pandas import CapacityError
-
                     raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")
         raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
 
 
-def eval_duckdb(term: Term, tables: Mapping[str, pd.DataFrame]) -> pd.DataFrame:
-    """One-shot convenience: evaluate ``term`` over pandas ``tables``."""
-    ev = DuckdbEvaluator(tables)
+def eval_duckdb(
+    term: Term, tables: Mapping[str, pd.DataFrame], row_cap: int | None = None
+) -> pd.DataFrame:
+    """One-shot convenience: evaluate ``term`` over pandas ``tables``;
+    a fixpoint above ``row_cap`` rows raises :class:`CapacityError`."""
+    ev = DuckdbEvaluator(tables, row_cap=row_cap)
     try:
         return ev.evaluate(term)
     finally:

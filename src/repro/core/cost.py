@@ -109,7 +109,6 @@ class CostModel:
         return Est(0.0, {"src": 1.0, "dst": 1.0})
 
     def _rec(self, t: Term, bound: dict[str, Est]) -> tuple[Est, float]:
-        n2 = float(self.stats.n_nodes) ** 2
         # Special shape: σ_label=a(G) and its antiprojection — per-label stats.
         if isinstance(t, AntiProject) and isinstance(t.child, Filter):
             f = t.child

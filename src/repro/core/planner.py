@@ -68,7 +68,6 @@ class PlanReport:
     term: Term
     cost: float
     candidates: list[tuple[str, float]] = field(default_factory=list)
-    fix_strategies: list[str] = field(default_factory=list)  # filled at execution
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +312,4 @@ def evaluate_ucrpq(
         stats = GraphStats.from_pandas(graph.toPandas())
     report = plan_crpq(query, stats, consts)
     cfg = cfg or FixConfig()
-    out = eval_spark(report.term, {GRAPH: graph}, spark, cfg)
-    report.fix_strategies = list(cfg.chosen)
-    return out
+    return eval_spark(report.term, {GRAPH: graph}, spark, cfg)

@@ -31,24 +31,11 @@ from typing import Iterator, Mapping
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from .compiler_pandas import seminaive_loop
+from .compiler_pandas import MAX_ITERATIONS, CapacityError, seminaive_loop
 from .compiler_spark import FixConfig, eval_spark
 from .fcond import check_fcond, constant_variable_split, union_branches, union_of
 from .stabilizer import stable_columns
-from .terms import (
-    AntiJoin,
-    AntiProject,
-    Filter,
-    Fix,
-    Join,
-    Rel,
-    Rename,
-    Term,
-    Union_,
-    Var,
-    free_vars,
-    is_constant_in,
-)
+from .terms import Fix, Rel, Term, free_rels, is_constant_in, map_children
 
 _CONST_PREFIX = "__bc_"
 
@@ -78,21 +65,7 @@ def extract_constants(phi: Term, var: str) -> tuple[Term, dict[str, Term]]:
             name = f"{_CONST_PREFIX}{next(counter)}"
             mapping[name] = t
             return Rel(name)
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, Union_):
-            return Union_(rec(t.left), rec(t.right))
-        if isinstance(t, Join):
-            return Join(rec(t.left), rec(t.right))
-        if isinstance(t, AntiJoin):
-            return AntiJoin(rec(t.left), rec(t.right))
-        if isinstance(t, Filter):
-            return Filter(t.cond, rec(t.child))
-        if isinstance(t, AntiProject):
-            return AntiProject(t.cols, rec(t.child))
-        if isinstance(t, Rename):
-            return Rename(t.old, t.new, rec(t.child))
-        raise TypeError(f"not a μ-RA term: {t!r}")
+        return map_children(t, rec)
 
     return rec(phi), mapping
 
@@ -167,12 +140,10 @@ def _run_gld(
     branches = union_branches(phi2)
     cols = list(seeds.columns)
 
-    from .compiler_pandas import CapacityError
-
     x = seeds.localCheckpoint()
     total = None
     new = x
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         delta = _eval_phi_distributed(branches, var, new, cenv, spark, cfg)
         new = (
             delta.dropDuplicates()
@@ -189,7 +160,7 @@ def _run_gld(
         # new is distinct and disjoint from x, so the union stays a set
         # without a further distinct.
         x = x.unionByName(new).localCheckpoint()
-    raise RuntimeError(f"fixpoint did not converge in {cfg.max_iterations} iterations")
+    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +178,15 @@ def _run_plw(
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
+    if engine not in ("plw_s", "plw_pg"):
+        raise ValueError(f"unknown P_plw engine {engine!r}")
     phi2, consts = extract_constants(phi, var)
     # Evaluate φ's constant relations once and broadcast them. Bare Rel
     # leaves referenced by φ are broadcast from env directly. If the
     # broadcast volume is too large for the driver/workers, fall back to
     # P_gld (distributed shuffle joins) — the same family of decisions a
     # join planner makes between broadcast and shuffle joins.
-    needed = {
-        s.name
-        for s in _rel_leaves(phi2)
-        if s.name not in consts and s.name != var
-    }
+    needed = free_rels(phi2) - consts.keys()
     const_dfs: dict[str, DataFrame] = {
         name: eval_spark(t, env, spark, cfg).localCheckpoint() for name, t in consts.items()
     }
@@ -243,53 +212,27 @@ def _run_plw(
     phi_term = union_of(branches)
 
     row_cap = cfg.row_cap
-    if engine == "plw_s":
 
-        def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            from . import compiler_pandas as cp
+    def run_local_loop(local_seeds: pd.DataFrame) -> pd.DataFrame:
+        if engine == "plw_s":
+            return seminaive_loop(phi_term, var, local_seeds, bc.value, row_cap)
+        from .compiler_sql import DuckdbEvaluator
 
-            parts = [p for p in it]
-            if not parts:
-                return
-            local_seeds = pd.concat(parts, ignore_index=True)
-            if local_seeds.empty:
-                return
-            prev = cp.ROW_CAP
-            cp.ROW_CAP = row_cap
-            try:
-                result = seminaive_loop(phi_term, var, local_seeds, bc.value)
-            finally:
-                cp.ROW_CAP = prev
-            yield result[out_cols]
+        ev = DuckdbEvaluator({**bc.value, "__seeds": local_seeds}, row_cap=row_cap)
+        try:
+            xt = ev.run_seminaive(phi_term, var, "__seeds")
+            return ev.con.execute(f"SELECT * FROM {xt}").fetchdf()
+        finally:
+            ev.con.close()
 
-    elif engine == "plw_pg":
-
-        def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            from .compiler_sql import DuckdbEvaluator
-
-            parts = [p for p in it]
-            if not parts:
-                return
-            local_seeds = pd.concat(parts, ignore_index=True)
-            if local_seeds.empty:
-                return
-            ev = DuckdbEvaluator({**bc.value, "__seeds": local_seeds}, row_cap=row_cap)
-            try:
-                xt = ev.run_seminaive(phi_term, var, "__seeds")
-                result = ev.con.execute(f"SELECT * FROM {xt}").fetchdf()
-            finally:
-                ev.con.close()
-            yield result[out_cols]
-
-    else:  # pragma: no cover - guarded by execute_fixpoint
-        raise ValueError(f"unknown P_plw engine {engine!r}")
+    def run_partition(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        parts = list(it)
+        if not parts:
+            return
+        local_seeds = pd.concat(parts, ignore_index=True)
+        if local_seeds.empty:
+            return
+        yield run_local_loop(local_seeds)[out_cols]
 
     return seeds.mapInPandas(run_partition, schema=out_schema)
 
-
-def _rel_leaves(t: Term):
-    from .terms import walk
-
-    for s in walk(t):
-        if isinstance(s, Rel):
-            yield s

@@ -33,14 +33,12 @@ from typing import Callable, Mapping, Optional
 from .fcond import constant_variable_split, union_branches, union_of
 from .stabilizer import stable_columns, used_columns
 from .terms import (
-    AntiJoin,
     AntiProject,
     DST,
     EqConst,
     Filter,
     Fix,
     Join,
-    Rel,
     Rename,
     SRC,
     Term,
@@ -49,6 +47,7 @@ from .terms import (
     compose,
     fresh_mid,
     is_constant_in,
+    map_children,
     schema,
 )
 
@@ -316,44 +315,6 @@ def try_filter_descend(t: Term, env: Schemas) -> Optional[Term]:
     return None
 
 
-def try_antiproject_descend(t: Term, env: Schemas) -> Optional[Term]:
-    """Push π̃ through ρ / π̃ / σ / ∪ one step (classic RA rewrites),
-    so head antiprojections reach fixpoints (then try_push_antiproject
-    applies — the paper's push-antiprojection-into-fixpoint)."""
-    if not isinstance(t, AntiProject):
-        return None
-    cols, child = set(t.cols), t.child
-    if isinstance(child, Rename):
-        if child.new in cols:
-            # dropping the renamed column ≡ dropping the original
-            return AntiProject(tuple(sorted((cols - {child.new}) | {child.old})), child.child)
-        return Rename(child.old, child.new, AntiProject(t.cols, child.child))
-    c = match_compose(child)
-    if c is not None and cols and cols < {SRC, DST}:
-        # π̃_src(A∘B) = π̃_src(A)∘B and π̃_dst(A∘B) = A∘π̃_dst(B) — push
-        # into the compose arguments *preserving the compose pattern*
-        # (merging into the π̃_mid would hide it from push-join/merge).
-        left = AntiProject((SRC,), c.left) if SRC in cols else c.left
-        right = AntiProject((DST,), c.right) if DST in cols else c.right
-        return AntiProject(
-            (c.mid,), Join(Rename(DST, c.mid, left), Rename(SRC, c.mid, right))
-        )
-    if isinstance(child, AntiProject):
-        return AntiProject(tuple(sorted(cols | set(child.cols))), child.child)
-    if isinstance(child, Filter):
-        fcols = (
-            {child.cond.col}
-            if isinstance(child.cond, EqConst)
-            else {child.cond.col1, child.cond.col2}
-        )
-        if not (fcols & cols):
-            return Filter(child.cond, AntiProject(t.cols, child.child))
-        return None
-    if isinstance(child, Union_):
-        return Union_(AntiProject(t.cols, child.left), AntiProject(t.cols, child.right))
-    return None
-
-
 def try_reverse_push_filter(t: Term, env: Schemas) -> Optional[Term]:
     """σ on a non-stable column of a *pure closure*: reverse the closure
     (paper's reverse-fixpoint rule) so the column becomes stable, then
@@ -373,10 +334,13 @@ def try_reverse_push_filter(t: Term, env: Schemas) -> Optional[Term]:
 # ---------------------------------------------------------------------------
 
 
+# Upper bound on the phase-1/phase-2 rounds of :func:`rewrite`.
+MAX_PASSES = 30
+
+
 def rewrite(
     t: Term,
     env: Schemas,
-    max_passes: int = 30,
     phase1: tuple[Callable, ...] | None = None,
     phase2: tuple[Callable, ...] | None = None,
 ) -> Term:
@@ -394,7 +358,7 @@ def rewrite(
     """
     p1 = _PHASE1 if phase1 is None else phase1
     p2 = _PHASE2 if phase2 is None else phase2
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         t1 = _apply_bottom_up(t, env, p1)
         t2 = _apply_bottom_up(t1, env, p2)
         if t2 == t:
@@ -416,29 +380,14 @@ _NEEDS_ENV = {try_push_filter, try_reverse_push_filter, try_filter_descend, try_
 def _apply_bottom_up(t: Term, env: Schemas, rules: tuple[Callable, ...]) -> Term:
     # Rewrite children first, then try each rule at this node; repeat at
     # this node until no rule fires (a rule may expose another).
-    if isinstance(t, (Rel, Var)):
-        return t
-    if isinstance(t, Union_):
-        t = Union_(_apply_bottom_up(t.left, env, rules), _apply_bottom_up(t.right, env, rules))
-    elif isinstance(t, Join):
-        t = Join(_apply_bottom_up(t.left, env, rules), _apply_bottom_up(t.right, env, rules))
-    elif isinstance(t, AntiJoin):
-        t = AntiJoin(_apply_bottom_up(t.left, env, rules), _apply_bottom_up(t.right, env, rules))
-    elif isinstance(t, Filter):
-        t = Filter(t.cond, _apply_bottom_up(t.child, env, rules))
-    elif isinstance(t, AntiProject):
-        t = AntiProject(t.cols, _apply_bottom_up(t.child, env, rules))
-    elif isinstance(t, Rename):
-        t = Rename(t.old, t.new, _apply_bottom_up(t.child, env, rules))
-    elif isinstance(t, Fix):
-        t = Fix(t.var, _apply_bottom_up(t.body, env, rules))
+    t = map_children(t, lambda c: _apply_bottom_up(c, env, rules))
     for _ in range(10):
         fired = False
         for rule in rules:
             out = rule(t, env) if rule in _NEEDS_ENV else rule(t)
             if out is not None and out != t:
                 # The rewritten node may expose new opportunities below.
-                t = _apply_bottom_up(out, env, rules) if isinstance(out, Term) else t
+                t = _apply_bottom_up(out, env, rules)
                 fired = True
                 break
         if not fired:

@@ -23,8 +23,8 @@ the paper's μ-RA example terms: column = constant and column = column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union as TyUnion
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Mapping, Union as TyUnion
 
 Value = TyUnion[int, str, float]
 
@@ -187,6 +187,23 @@ def children(t: Term) -> tuple[Term, ...]:
     raise TypeError(f"not a μ-RA term: {t!r}")
 
 
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` with each direct sub-term ``c`` replaced by ``f(c)``.
+
+    The one structural rebuild shared by every term-to-term pass; leaves
+    come back unchanged and a :class:`Fix` keeps its variable.
+    """
+    if isinstance(t, (Rel, Var)):
+        return t
+    if isinstance(t, (Union_, Join, AntiJoin)):
+        return type(t)(f(t.left), f(t.right))
+    if isinstance(t, (Filter, AntiProject, Rename)):
+        return replace(t, child=f(t.child))
+    if isinstance(t, Fix):
+        return Fix(t.var, f(t.body))
+    raise TypeError(f"not a μ-RA term: {t!r}")
+
+
 def walk(t: Term) -> Iterator[Term]:
     """Pre-order traversal of all sub-terms, including ``t`` itself."""
     yield t
@@ -228,25 +245,9 @@ def subst(t: Term, var: str, replacement: Term) -> Term:
     """
     if isinstance(t, Var):
         return replacement if t.name == var else t
-    if isinstance(t, Rel):
+    if isinstance(t, Fix) and t.var == var:
         return t
-    if isinstance(t, Fix):
-        if t.var == var:
-            return t
-        return Fix(t.var, subst(t.body, var, replacement))
-    if isinstance(t, Union_):
-        return Union_(subst(t.left, var, replacement), subst(t.right, var, replacement))
-    if isinstance(t, Join):
-        return Join(subst(t.left, var, replacement), subst(t.right, var, replacement))
-    if isinstance(t, AntiJoin):
-        return AntiJoin(subst(t.left, var, replacement), subst(t.right, var, replacement))
-    if isinstance(t, Filter):
-        return Filter(t.cond, subst(t.child, var, replacement))
-    if isinstance(t, AntiProject):
-        return AntiProject(t.cols, subst(t.child, var, replacement))
-    if isinstance(t, Rename):
-        return Rename(t.old, t.new, subst(t.child, var, replacement))
-    raise TypeError(f"not a μ-RA term: {t!r}")
+    return map_children(t, lambda c: subst(c, var, replacement))
 
 
 # ---------------------------------------------------------------------------

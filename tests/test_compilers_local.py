@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler_pandas import (
+    CapacityError,
     anti_join,
     dedup,
     eval_pandas,
@@ -90,6 +91,16 @@ def test_fig2_example_duckdb():
     fix = Fix("X", Union_(Rel("S"), compose(Var("X"), Rel("E"))))
     out = eval_duckdb(fix, {"S": FIG2_S, "E": FIG2_E})
     assert sorted(map(tuple, out[["src", "dst"]].values.tolist())) == FIG2_FIXPOINT
+
+
+@pytest.mark.parametrize("evaluate", [eval_pandas, eval_duckdb], ids=["pandas", "duckdb"])
+def test_row_cap_raises(evaluate):
+    # The Fig. 2 fixpoint has 10 rows: a cap of 10 holds, 9 raises.
+    fix = Fix("X", Union_(Rel("S"), compose(Var("X"), Rel("E"))))
+    env = {"S": FIG2_S, "E": FIG2_E}
+    assert len(evaluate(fix, env, row_cap=10)) == len(FIG2_FIXPOINT)
+    with pytest.raises(CapacityError, match="row_cap=9"):
+        evaluate(fix, env, row_cap=9)
 
 
 class TestPandasOps:

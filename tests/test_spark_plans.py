@@ -170,6 +170,20 @@ class TestRowCap:
         msg = str(exc.value).lower()
         assert "row_cap" in msg or "capacityerror" in msg
 
+    @pytest.mark.parametrize("engine", ["plw_s", "plw_pg"])
+    def test_plw_cap_fires_in_worker(self, spark, engine):
+        # Chain 0→1→…→20: 20 broadcast rows stay under the cap, so P_plw
+        # runs; the one partition's closure has 210 rows, above it.
+        chain = pd.DataFrame({"src": range(20), "dst": range(1, 21)})
+        env = {"S": spark.createDataFrame(chain), "E": spark.createDataFrame(chain)}
+        cfg = FixConfig(strategy=engine, num_partitions=1, row_cap=50)
+        with pytest.raises(Exception) as exc:
+            eval_spark(right_tc(), env, spark, cfg).collect()
+        assert cfg.chosen == [engine]
+        # Spark wraps the worker's exception; its text survives.
+        assert "CapacityError" in str(exc.value)
+        assert "row_cap=50" in str(exc.value)
+
     def test_plw_broadcast_fallback_records_choice(self, spark, fig2_e, fig2_s):
         env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
         cfg = FixConfig(strategy="plw_s", row_cap=10_000)

@@ -1,5 +1,8 @@
 """Unit tests for the μ-RA term language: schema inference, structural
 helpers, substitution, and the binary-relation constructors."""
+import dataclasses
+import typing
+
 import pytest
 
 from repro.core.terms import (
@@ -13,14 +16,17 @@ from repro.core.terms import (
     Rel,
     Rename,
     SchemaError,
+    Term,
     Union_,
     Var,
+    children,
     compose,
     free_rels,
     free_vars,
     fresh_mid,
     inverse,
     is_constant_in,
+    map_children,
     schema,
     subst,
     walk,
@@ -158,3 +164,65 @@ class TestStructure:
     def test_union_operator_sugar(self):
         assert Rel("R").union(Rel("S")) == Union_(Rel("R"), Rel("S"))
         assert Rel("R").join(Rel("S")) == Join(Rel("R"), Rel("S"))
+
+
+# One instance of each of the 9 term constructors (paper Fig. 1).
+ONE_OF_EACH = [
+    Rel("R"),
+    Var("X"),
+    Union_(Rel("R"), Rel("S")),
+    Join(Rel("R"), Var("X")),
+    AntiJoin(Rel("R"), Rel("S")),
+    Filter(EqConst("src", 1), Rel("R")),
+    AntiProject(("src",), Rel("R")),
+    Rename("src", "m0", Rel("R")),
+    Fix("X", Union_(Rel("S"), compose(Var("X"), Rel("R")))),
+]
+
+
+def _instance(cls: type) -> Term:
+    """An instance of ``cls`` built from its field types alone, so a new
+    term type needs no hand-written sample here."""
+    value = {Term: Rel("R"), str: "src", tuple[str, ...]: ("src",)}
+    hints = typing.get_type_hints(cls)
+    return cls(
+        *(
+            value.get(hints[f.name], EqConst("src", 1))
+            for f in dataclasses.fields(cls)
+        )
+    )
+
+
+class TestMapChildren:
+    @pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+    def test_identity(self, t):
+        assert map_children(t, lambda c: c) == t
+
+    @pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+    def test_applies_f_once_per_child(self, t):
+        seen = []
+
+        def f(c):
+            seen.append(c)
+            return Rel(f"Z{len(seen)}")
+
+        out = map_children(t, f)
+        assert seen == list(children(t))
+        assert type(out) is type(t)
+        assert children(out) == tuple(Rel(f"Z{i + 1}") for i in range(len(seen)))
+        for fld in dataclasses.fields(t):
+            if not isinstance(getattr(t, fld.name), Term):
+                assert getattr(out, fld.name) == getattr(t, fld.name)
+
+    def test_every_term_type_is_handled(self):
+        types = Term.__subclasses__()
+        assert {type(t) for t in ONE_OF_EACH} == set(types)
+        for cls in types:
+            t = _instance(cls)
+            term_fields = tuple(
+                getattr(t, f.name)
+                for f in dataclasses.fields(cls)
+                if isinstance(getattr(t, f.name), Term)
+            )
+            assert children(t) == term_fields, cls.__name__
+            assert map_children(t, lambda c: c) == t, cls.__name__
