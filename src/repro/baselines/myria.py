@@ -18,7 +18,8 @@ from typing import Mapping
 
 import pandas as pd
 
-from ..core.compiler_pandas import CapacityError, eval_pandas
+from ..core.compiler_pandas import eval_pandas
+from ..core.fcond import CapacityError
 from ..core.query2mu import GRAPH, crpq_to_term
 from ..core.rpq import CRPQ, parse_query
 from ..core.terms import Term

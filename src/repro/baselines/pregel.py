@@ -21,13 +21,14 @@ DataFrames:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.compiler_pandas import CapacityError
+from ..core.fcond import CapacityError, seminaive
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
 
 
@@ -115,20 +116,21 @@ def eval_atom_pregel(
     graph: DataFrame,  # (src, label, dst)
     atom: Atom,
     consts: dict[str, int],
-    max_supersteps: int = 10_000,
     max_rows: int | None = 20_000_000,
 ) -> DataFrame:
     """Evaluate one RPQ atom; returns DataFrame(origin, node) pairs."""
     nfa = build_nfa(atom.rx)
     closure = nfa.eps_closure()
 
-    # Transition relation as a DataFrame: (state, label, inv, nxt*) where
-    # nxt is expanded through the epsilon closure.
-    rows = []
-    for s, lbl, inv, t in nfa.trans:
-        for t2 in closure[t]:
-            rows.append((s, lbl, inv, t2))
-    trans = spark.createDataFrame(rows, "state long, label string, inv boolean, nxt long")
+    # Transition relations (state, label, nxt*), nxt expanded through the
+    # epsilon closure: one per traversal direction the regex uses.
+    steps: dict[bool, DataFrame] = {}
+    for backward in (False, True):
+        rows = [
+            (s, lbl, t2) for s, lbl, inv, t in nfa.trans if inv == backward for t2 in closure[t]
+        ]
+        if rows:
+            steps[backward] = spark.createDataFrame(rows, "state long, label string, nxt long")
 
     # Initial messages: the query pattern is traversed from left to
     # right, so only a leading constant is pushed (paper §V-C).
@@ -142,51 +144,35 @@ def eval_atom_pregel(
             .distinct()
         )
     init_states = [int(s) for s in closure[nfa.start]]
+    msg_cols = ["origin", "node", "state"]
     msgs = (
         origins.withColumn("origin", F.col("node"))
         .crossJoin(spark.createDataFrame([(s,) for s in init_states], "state long"))
-        .select("origin", "node", "state")
+        .select(*msg_cols)
     )
 
-    fwd = trans.where(~F.col("inv")).select("state", "label", "nxt")
-    bwd = trans.where(F.col("inv")).select("state", "label", "nxt")
-    have_fwd = fwd.limit(1).count() > 0
-    have_bwd = bwd.limit(1).count() > 0
-
-    seen = msgs.localCheckpoint()
-    new = seen
-    for _ in range(max_supersteps):
-        parts = []
-        if have_fwd:
-            parts.append(
-                new.join(graph, on=new["node"] == graph["src"])
-                .join(fwd, on=["state", "label"])
-                .select("origin", F.col("dst").alias("node"), F.col("nxt").alias("state"))
+    # One superstep: messages travel one edge (a shuffle), then dedupe
+    # against every message already seen.
+    def superstep(new: DataFrame, seen: DataFrame) -> DataFrame:
+        hops = []
+        for backward, trans in steps.items():
+            here, there = ("dst", "src") if backward else ("src", "dst")
+            hops.append(
+                new.join(graph, on=new["node"] == graph[here])
+                .join(trans, on=["state", "label"])
+                .select("origin", F.col(there).alias("node"), F.col("nxt").alias("state"))
             )
-        if have_bwd:
-            parts.append(
-                new.join(graph, on=new["node"] == graph["dst"])
-                .join(bwd, on=["state", "label"])
-                .select("origin", F.col("src").alias("node"), F.col("nxt").alias("state"))
-            )
-        if not parts:
-            break
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        new = (
-            out.dropDuplicates()
-            .join(seen, on=["origin", "node", "state"], how="left_anti")
+        return (
+            functools.reduce(DataFrame.union, hops)
+            .dropDuplicates()
+            .join(seen, on=msg_cols, how="left_anti")
             .localCheckpoint()
         )
-        n_new = new.count()
-        if n_new == 0:
-            break
-        seen = seen.union(new).localCheckpoint()
-        if max_rows is not None and seen.count() > max_rows:
-            raise CapacityError(f"pregel message volume exceeded {max_rows}")
-    else:
-        raise CapacityError("pregel did not converge")
+
+    def add(seen: DataFrame, new: DataFrame) -> DataFrame:
+        return seen.union(new).localCheckpoint()
+
+    seen = seminaive(msgs.localCheckpoint(), superstep, DataFrame.count, add, max_rows)
 
     accept_states = [s for s, cl in closure.items() if nfa.accept in cl]
     result = seen.where(F.col("state").isin(accept_states)).select("origin", "node").distinct()

@@ -17,7 +17,8 @@ from typing import Mapping
 
 import pandas as pd
 
-from .fcond import check_fcond, constant_variable_split, union_branches
+from .fcond import CapacityError  # noqa: F401  (re-exported for callers)
+from .fcond import check_fcond, constant_variable_split, seminaive, union_branches
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -32,16 +33,6 @@ from .terms import (
     Union_,
     Var,
 )
-
-# Iteration bound shared by every fixpoint loop (pandas, DuckDB, P_gld).
-MAX_ITERATIONS = 100_000
-
-
-class CapacityError(RuntimeError):
-    """A fixpoint or message volume exceeded its ``row_cap`` (≙ the
-    paper's crash markers). The one capacity error of every engine and
-    baseline."""
-
 
 def dedup(df: pd.DataFrame) -> pd.DataFrame:
     return df.drop_duplicates(ignore_index=True)
@@ -118,18 +109,10 @@ def _eval(t: Term, env: dict[str, pd.DataFrame], row_cap: int | None) -> pd.Data
     if isinstance(t, Rename):
         return _eval(t.child, env, row_cap).rename(columns={t.old: t.new})
     if isinstance(t, Fix):
-        return _eval_fix(t, env, row_cap)
+        check_fcond(t)
+        const, phi = constant_variable_split(t)
+        return seminaive_loop(phi, t.var, _eval(const, env, row_cap), env, row_cap)
     raise TypeError(f"not a μ-RA term: {t!r}")
-
-
-def _eval_fix(
-    fix: Fix, env: dict[str, pd.DataFrame], row_cap: int | None
-) -> pd.DataFrame:
-    """Semi-naive fixpoint (paper Algorithm 1) over pandas frames."""
-    check_fcond(fix)
-    const, phi = constant_variable_split(fix)
-    r = dedup(_eval(const, env, row_cap))
-    return seminaive_loop(phi, fix.var, r, env, row_cap)
 
 
 def seminaive_loop(
@@ -139,24 +122,22 @@ def seminaive_loop(
     env: Mapping[str, pd.DataFrame],
     row_cap: int | None = None,
 ) -> pd.DataFrame:
-    """Run Algorithm 1 locally: X=R; new=R; while new: new=φ(new)∖X; X∪=new.
+    """Run Algorithm 1 (:func:`repro.core.fcond.seminaive`) on pandas
+    frames.
 
     Exposed separately so the P_plw^s physical plan can run it inside a
     ``mapInPandas`` partition with broadcast constant relations.
     """
     branches = union_branches(phi)
     base_env = dict(env)
-    x = dedup(seeds)
-    new = x
-    for _ in range(MAX_ITERATIONS):
-        if new.empty:
-            return x.reset_index(drop=True)
-        base_env[var] = new
-        delta_parts = [_eval(b, base_env, row_cap) for b in branches]
-        delta = dedup(pd.concat([p[sorted(x.columns)] for p in delta_parts], ignore_index=True)) if delta_parts else new.iloc[0:0]
-        new = set_difference(delta, x)
-        if not new.empty:
-            x = pd.concat([x, new], ignore_index=True)
-            if row_cap is not None and len(x) > row_cap:
-                raise CapacityError(f"fixpoint exceeded row_cap={row_cap}")
-    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
+    cols = sorted(seeds.columns)
+
+    def step(delta: pd.DataFrame, x: pd.DataFrame) -> pd.DataFrame:
+        base_env[var] = delta
+        parts = [_eval(b, base_env, row_cap)[cols] for b in branches]
+        return set_difference(pd.concat(parts, ignore_index=True), x)
+
+    def add(x: pd.DataFrame, delta: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([x, delta], ignore_index=True)
+
+    return seminaive(dedup(seeds), step, len, add, row_cap)

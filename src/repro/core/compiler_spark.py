@@ -46,7 +46,8 @@ class FixConfig:
     # (None = unlimited). Mirrors the paper's crash markers: runaway
     # closures surface as failures instead of unbounded runs.
     row_cap: int | None = None
-    # Filled in by plans.execute_fixpoint for observability in tests/benches.
+    # Filled in by plans.execute_fixpoint for observability in tests/benches:
+    # one entry per fixpoint evaluation, inner (constant) fixpoints first.
     chosen: list[str] = field(default_factory=list)
 
 

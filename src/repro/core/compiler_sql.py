@@ -21,8 +21,7 @@ from typing import Mapping
 import duckdb
 import pandas as pd
 
-from .compiler_pandas import MAX_ITERATIONS, CapacityError
-from .fcond import check_fcond, constant_variable_split, union_branches
+from .fcond import check_fcond, constant_variable_split, seminaive, union_branches
 from .terms import (
     AntiJoin,
     AntiProject,
@@ -179,19 +178,17 @@ class DuckdbEvaluator:
         """Replace every maximal Fix subterm by a Rel over its
         materialized result table."""
         if isinstance(t, Fix):
-            return Rel(self._eval_fix(t, bound))
+            check_fcond(t)
+            const, phi = constant_variable_split(t)
+            seeds = self._materialize(const, bound)
+            return Rel(self.run_seminaive(phi, t.var, seeds, bound))
         return map_children(t, lambda c: self._lift_fixpoints(c, bound))
-
-    def _eval_fix(self, fix: Fix, bound: dict[str, str]) -> str:
-        check_fcond(fix)
-        const, phi = constant_variable_split(fix)
-        seeds = self._materialize(const, bound)
-        return self.run_seminaive(phi, fix.var, seeds, bound)
 
     def run_seminaive(
         self, phi: Term, var: str, seeds_table: str, bound: dict[str, str] | None = None
     ) -> str:
-        """Semi-naive loop; ``seeds_table`` is the constant part R.
+        """Algorithm 1 (:func:`repro.core.fcond.seminaive`) over temp
+        tables; ``seeds_table`` is the constant part R.
 
         Returns the name of the temp table holding the fixpoint. Public
         because P_plw^pg calls it directly with a partition's seeds.
@@ -209,22 +206,25 @@ class DuckdbEvaluator:
         phi_sql = " UNION ".join(
             f"({to_sql(b, self.env, {**bound, var: dt})})" for b in branches
         )
-        for _ in range(MAX_ITERATIONS):
+
+        # X lives in table xt; Δ in table dt, which starts as a copy of R.
+        def step(_delta: str, _x: str) -> str:
             self.con.execute(
                 f"CREATE OR REPLACE TEMP TABLE {dt}__next AS "
                 f"SELECT {cols} FROM ({phi_sql}) EXCEPT SELECT {cols} FROM {xt}"
             )
-            n = self.con.execute(f"SELECT count(*) FROM {dt}__next").fetchone()[0]
             self.con.execute(f"DROP TABLE {dt}")
             self.con.execute(f"ALTER TABLE {dt}__next RENAME TO {dt}")
-            if n == 0:
-                return xt
+            return dt
+
+        def size(table: str) -> int:
+            return self.con.execute(f"SELECT count(*) FROM {table}").fetchone()[0]
+
+        def add(_x: str, _delta: str) -> str:
             self.con.execute(f"INSERT INTO {xt} SELECT {cols} FROM {dt}")
-            if self.row_cap is not None:
-                sz = self.con.execute(f"SELECT count(*) FROM {xt}").fetchone()[0]
-                if sz > self.row_cap:
-                    raise CapacityError(f"fixpoint exceeded row_cap={self.row_cap}")
-        raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
+            return xt
+
+        return seminaive(xt, step, size, add, self.row_cap)
 
 
 def eval_duckdb(

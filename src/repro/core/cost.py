@@ -17,8 +17,7 @@ distinct counts, so antiprojection/filter selectivities compose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import pandas as pd
 
@@ -57,16 +56,21 @@ class Est:
         return self
 
 
+# Diameter bound D of the fixpoint model.
+DEPTH = 10
+# Per-iteration overhead factor on a fixpoint's estimated size.
+ITER_OVERHEAD = 2.0
+
+
 @dataclass
 class GraphStats:
     """Per-label statistics of a (src, label, dst) triple relation."""
 
     n_nodes: int
     labels: dict[str, Est]  # label → Est over columns {src, dst}
-    depth: int = 10  # diameter bound D for the fixpoint model
 
     @classmethod
-    def from_pandas(cls, triples: pd.DataFrame, depth: int = 10) -> "GraphStats":
+    def from_pandas(cls, triples: pd.DataFrame) -> "GraphStats":
         n_nodes = int(pd.concat([triples["src"], triples["dst"]]).nunique())
         labels = {}
         for lbl, g in triples.groupby("label"):
@@ -74,7 +78,7 @@ class GraphStats:
                 rows=float(len(g)),
                 d={"src": float(g["src"].nunique()), "dst": float(g["dst"].nunique())},
             )
-        return cls(n_nodes=n_nodes, labels=labels, depth=depth)
+        return cls(n_nodes=n_nodes, labels=labels)
 
 
 @dataclass
@@ -88,8 +92,6 @@ class CostModel:
     """
 
     stats: GraphStats
-    extra: Mapping[str, Est] = field(default_factory=dict)  # named base rels
-    iter_overhead: float = 2.0
 
     def estimate(self, t: Term) -> Est:
         est, _ = self._rec(t, {})
@@ -121,9 +123,6 @@ class CostModel:
                 e = self._label_est(str(f.cond.value))
                 return e, e.rows
         if isinstance(t, Rel):
-            if t.name in self.extra:
-                e = self.extra[t.name]
-                return Est(e.rows, dict(e.d)), 0.0
             # Whole triple table.
             rows = sum(e.rows for e in self.stats.labels.values()) or 1.0
             return (
@@ -204,7 +203,7 @@ class CostModel:
             else:
                 fan = step.rows / max(step.d.get("dst", 1.0), 1.0)
                 reach = step.d.get("src", n)
-            rows = min(seed.rows * _geom(fan, self.stats.depth), seed.rows * reach, n2)
+            rows = min(seed.rows * _geom(fan, DEPTH), seed.rows * reach, n2)
         else:
             # Merged / general fixpoint: sum the per-branch expansion.
             fan = 0.0
@@ -221,11 +220,11 @@ class CostModel:
                 se, sc = self._rec(const_side, bound)
                 step_cost += sc
                 fan += se.rows / max(min(se.d.get("src", 1.0), se.d.get("dst", 1.0)), 1.0) / 2.0
-            rows = min(seed.rows * _geom(fan, self.stats.depth), n2)
+            rows = min(seed.rows * _geom(fan, DEPTH), n2)
 
         d = {c: min(v * max(rows / max(seed.rows, 1.0), 1.0), n) for c, v in seed.d.items()}
         e = Est(rows, d).clamp()
-        return e, seed_cost + step_cost + e.rows * self.iter_overhead
+        return e, seed_cost + step_cost + e.rows * ITER_OVERHEAD
 
 
 def _geom(f: float, depth: int) -> float:

@@ -11,8 +11,12 @@ evaluation (Algorithm 1) and the P_plw fixpoint-splitting plan
 Proposition 2: every admissible fixpoint can be written μ(X = R ∪ φ)
 with R constant in X and φ(∅) = ∅. :func:`constant_variable_split`
 computes that decomposition by flattening the top-level union.
+
+:func:`seminaive` is Algorithm 1 itself, the one loop every engine runs.
 """
 from __future__ import annotations
+
+from typing import Callable, TypeVar
 
 from .terms import (
     AntiJoin,
@@ -26,8 +30,18 @@ from .terms import (
 )
 
 
+MAX_ITERATIONS = 100_000  # bound of the semi-naive loop, on every engine
+Rows = TypeVar("Rows")
+
+
 class FCondError(ValueError):
     """The fixpoint violates one of the F_cond conditions."""
+
+
+class CapacityError(RuntimeError):
+    """A fixpoint or message volume exceeded its ``row_cap`` (≙ the
+    paper's crash markers). The one capacity error of every engine and
+    baseline."""
 
 
 def union_branches(t: Term) -> list[Term]:
@@ -103,3 +117,33 @@ def _check_vanishes_at_empty(t: Term, x: str) -> None:
                     f"variable branch {t} does not vanish at ∅: "
                     f"union {sub} has a constant side"
                 )
+
+
+def seminaive(
+    seeds: Rows,
+    step: Callable[[Rows, Rows], Rows],
+    size: Callable[[Rows], int],
+    add: Callable[[Rows, Rows], Rows],
+    row_cap: int | None = None,
+) -> Rows:
+    """Algorithm 1: X = R; Δ = R; while Δ ≠ ∅: Δ = φ(Δ) ∖ X; X = X ∪ Δ.
+
+    The engine supplies the set operations: ``seeds`` is R, distinct;
+    ``step(Δ, X)`` returns φ(Δ) ∖ X, distinct; ``add(X, Δ)`` returns
+    X ∪ Δ; ``size`` counts rows. Δ is disjoint from X, so |X| = |R| + Σ|Δ|
+    and X is counted once, only when a ``row_cap`` is set; a fixpoint above
+    it raises :class:`CapacityError`.
+    """
+    x = delta = seeds
+    total: int | None = None
+    for _ in range(MAX_ITERATIONS):
+        delta = step(delta, x)
+        n = size(delta)
+        if n == 0:
+            return x
+        if row_cap is not None:
+            total = (size(x) if total is None else total) + n
+            if total > row_cap:
+                raise CapacityError(f"fixpoint exceeded row_cap={row_cap}")
+        x = add(x, delta)
+    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")

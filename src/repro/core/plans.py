@@ -31,9 +31,9 @@ from typing import Iterator, Mapping
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from .compiler_pandas import MAX_ITERATIONS, CapacityError, seminaive_loop
+from .compiler_pandas import seminaive_loop
 from .compiler_spark import FixConfig, eval_spark
-from .fcond import check_fcond, constant_variable_split, union_branches, union_of
+from .fcond import check_fcond, constant_variable_split, seminaive, union_branches, union_of
 from .stabilizer import stable_columns
 from .terms import Fix, Rel, Term, free_rels, is_constant_in, map_children
 
@@ -76,10 +76,19 @@ def execute_fixpoint(
     spark: SparkSession,
     cfg: FixConfig,
 ) -> DataFrame:
-    """Entry point used by the Spark compiler for μ(X = Ψ)."""
+    """Entry point used by the Spark compiler for μ(X = Ψ). φ's constant
+    subterms are evaluated here, once, whichever plan runs."""
+    if cfg.strategy not in ("auto", "gld", "plw_s", "plw_pg"):
+        raise ValueError(f"unknown fixpoint strategy {cfg.strategy!r}")
     check_fcond(fix)
     const, phi = constant_variable_split(fix)
     seeds = eval_spark(const, env, spark, cfg).dropDuplicates()
+    phi2, consts = extract_constants(phi, fix.var)
+    cenv = dict(env)
+    for name, t in consts.items():
+        cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint()
+    branches = union_branches(phi2)
+
     env_schemas = {k: frozenset(df.columns) for k, df in env.items()}
     x_schema = frozenset(seeds.columns)
     stable = stable_columns(phi, fix.var, env_schemas, x_schema)
@@ -94,9 +103,9 @@ def execute_fixpoint(
     cfg.chosen.append(strategy)
 
     if strategy == "gld":
-        return _run_gld(phi, fix.var, seeds, env, spark, cfg)
+        return _run_gld(branches, fix.var, seeds, cenv, spark, cfg)
     return _run_plw(
-        phi, fix.var, seeds, sorted(stable), env, spark, cfg, engine=strategy
+        branches, fix.var, seeds, sorted(stable), cenv, spark, cfg, engine=strategy
     )
 
 
@@ -123,44 +132,31 @@ def _eval_phi_distributed(
 
 
 def _run_gld(
-    phi: Term,
+    branches: list[Term],
     var: str,
     seeds: DataFrame,
-    env: Mapping[str, DataFrame],
+    cenv: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
 ) -> DataFrame:
-    """Driver loop; distributed ∪/∖ with a distinct per iteration."""
-    # Materialize the constant relations of φ once (they are re-read at
-    # every iteration).
-    phi2, consts = extract_constants(phi, var)
-    cenv = dict(env)
-    for name, t in consts.items():
-        cenv[name] = eval_spark(t, env, spark, cfg).localCheckpoint()
-    branches = union_branches(phi2)
+    """Driver loop; distributed ∪/∖ with a distinct per iteration.
+    ``cenv`` binds φ's constant relations, materialized once."""
     cols = list(seeds.columns)
 
-    x = seeds.localCheckpoint()
-    total = None
-    new = x
-    for _ in range(MAX_ITERATIONS):
-        delta = _eval_phi_distributed(branches, var, new, cenv, spark, cfg)
-        new = (
-            delta.dropDuplicates()
+    def step(delta: DataFrame, x: DataFrame) -> DataFrame:
+        return (
+            _eval_phi_distributed(branches, var, delta, cenv, spark, cfg)
+            .dropDuplicates()
             .join(x, on=cols, how="left_anti")
             .localCheckpoint()
         )
-        n_new = new.count()
-        if n_new == 0:
-            return x
-        if cfg.row_cap is not None:
-            total = (total if total is not None else x.count()) + n_new
-            if total > cfg.row_cap:
-                raise CapacityError(f"P_gld fixpoint exceeded row_cap={cfg.row_cap}")
-        # new is distinct and disjoint from x, so the union stays a set
+
+    def add(x: DataFrame, delta: DataFrame) -> DataFrame:
+        # delta is distinct and disjoint from x, so the union stays a set
         # without a further distinct.
-        x = x.unionByName(new).localCheckpoint()
-    raise RuntimeError(f"fixpoint did not converge in {MAX_ITERATIONS} iterations")
+        return x.unionByName(delta).localCheckpoint()
+
+    return seminaive(seeds.localCheckpoint(), step, DataFrame.count, add, cfg.row_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -169,34 +165,28 @@ def _run_gld(
 
 
 def _run_plw(
-    phi: Term,
+    branches: list[Term],
     var: str,
     seeds: DataFrame,
     part_cols: list[str],
-    env: Mapping[str, DataFrame],
+    cenv: Mapping[str, DataFrame],
     spark: SparkSession,
     cfg: FixConfig,
     engine: str,
 ) -> DataFrame:
-    if engine not in ("plw_s", "plw_pg"):
-        raise ValueError(f"unknown P_plw engine {engine!r}")
-    phi2, consts = extract_constants(phi, var)
-    # Evaluate φ's constant relations once and broadcast them. Bare Rel
-    # leaves referenced by φ are broadcast from env directly. If the
-    # broadcast volume is too large for the driver/workers, fall back to
-    # P_gld (distributed shuffle joins) — the same family of decisions a
-    # join planner makes between broadcast and shuffle joins.
-    needed = free_rels(phi2) - consts.keys()
-    const_dfs: dict[str, DataFrame] = {
-        name: eval_spark(t, env, spark, cfg).localCheckpoint() for name, t in consts.items()
-    }
-    for name in needed:
-        const_dfs[name] = env[name]
+    # Broadcast the relations φ' reads besides X. If the broadcast
+    # volume is too large for the driver/workers, fall back to P_gld
+    # (distributed shuffle joins) — the same family of decisions a join
+    # planner makes between broadcast and shuffle joins.
+    phi_term = union_of(branches)
+    const_dfs = {name: cenv[name] for name in free_rels(phi_term)}
     limit = BROADCAST_ROW_LIMIT if cfg.row_cap is None else min(cfg.row_cap, BROADCAST_ROW_LIMIT)
     total_const_rows = sum(df.count() for df in const_dfs.values())
     if total_const_rows > limit:
+        # Nested fixpoints in φ's constants ran before execute_fixpoint
+        # appended this fixpoint's entry, so the last entry is its own.
         cfg.chosen[-1] = "gld(broadcast-fallback)"
-        return _run_gld(phi, var, seeds, env, spark, cfg)
+        return _run_gld(branches, var, seeds, cenv, spark, cfg)
     const_pdfs: dict[str, pd.DataFrame] = {
         name: df.toPandas() for name, df in const_dfs.items()
     }
@@ -208,9 +198,6 @@ def _run_plw(
     seeds = seeds.repartition(n, *part_cols)
     out_schema = seeds.schema
     out_cols = [f.name for f in out_schema.fields]
-    branches = union_branches(phi2)
-    phi_term = union_of(branches)
-
     row_cap = cfg.row_cap
 
     def run_local_loop(local_seeds: pd.DataFrame) -> pd.DataFrame:

@@ -58,39 +58,34 @@ def label_term(name: str, inv: bool = False, graph: str = GRAPH) -> Term:
     return inverse(t) if inv else t
 
 
-def rx_to_term(rx: Rx, fresh: _Fresh | None = None, graph: str = GRAPH) -> Term:
+def rx_to_term(rx: Rx, fresh: _Fresh | None = None) -> Term:
     """Naive translation of a regex to a binary μ-RA term."""
     fresh = fresh or _Fresh()
     if isinstance(rx, Label):
-        return label_term(rx.name, rx.inverse, graph)
+        return label_term(rx.name, rx.inverse)
     if isinstance(rx, Seq):
-        out = rx_to_term(rx.parts[0], fresh, graph)
+        out = rx_to_term(rx.parts[0], fresh)
         for p in rx.parts[1:]:
-            nxt = rx_to_term(p, fresh, graph)
+            nxt = rx_to_term(p, fresh)
             out = compose(out, nxt, fresh_mid(out, nxt))
         return out
     if isinstance(rx, Alt):
-        parts = [rx_to_term(p, fresh, graph) for p in rx.parts]
+        parts = [rx_to_term(p, fresh) for p in rx.parts]
         out = parts[0]
         for p in parts[1:]:
             out = Union_(out, p)
         return out
     if isinstance(rx, Plus):
-        base = rx_to_term(rx.child, fresh, graph)
+        base = rx_to_term(rx.child, fresh)
         x = fresh.var()
         step = compose(Var(x), base, fresh_mid(base))
         return Fix(x, Union_(base, step))
     raise TypeError(f"not a regex: {rx!r}")
 
 
-def atom_to_term(
-    atom: Atom,
-    consts: Mapping[str, int],
-    fresh: _Fresh | None = None,
-    graph: str = GRAPH,
-) -> Term:
+def atom_to_term(atom: Atom, consts: Mapping[str, int], fresh: _Fresh | None = None) -> Term:
     """Translate an atom; output columns are variable columns (v_*)."""
-    t = rx_to_term(atom.rx, fresh, graph)
+    t = rx_to_term(atom.rx, fresh)
     return bind_endpoints(t, atom, consts)
 
 
@@ -121,23 +116,22 @@ def _resolve(c: str, consts: Mapping[str, int]) -> int:
     return consts[c]
 
 
-def crpq_to_term(q: CRPQ, consts: Mapping[str, int] | None = None, graph: str = GRAPH) -> Term:
+def crpq_to_term(q: CRPQ, consts: Mapping[str, int] | None = None) -> Term:
     """Naive translation of a full CRPQ: join atoms, project the head."""
     consts = consts or {}
     fresh = _Fresh()
-    atom_terms = [atom_to_term(a, consts, fresh, graph) for a in q.atoms]
-    return join_project_head(atom_terms, q, graph)
+    atom_terms = [atom_to_term(a, consts, fresh) for a in q.atoms]
+    return join_project_head(atom_terms, q)
 
 
-def join_project_head(atom_terms: list[Term], q: CRPQ, graph: str = GRAPH) -> Term:
+def join_project_head(atom_terms: list[Term], q: CRPQ) -> Term:
     """Join translated atoms on shared variable columns, antiproject to
     the head variables."""
     out = atom_terms[0]
     for t in atom_terms[1:]:
         out = out.join(t)
     head_cols = {var_col(h) for h in q.head}
-    env = {graph: GRAPH_SCHEMA[GRAPH]} if graph == GRAPH else {graph: frozenset({SRC, LABEL_COL, DST})}
-    all_cols = schema(out, env)
+    all_cols = schema(out, GRAPH_SCHEMA)
     drop = tuple(sorted(all_cols - head_cols))
     missing = head_cols - all_cols
     if missing:

@@ -2,10 +2,13 @@
 Propositions 1–2)."""
 import pytest
 
+from repro.core import fcond
 from repro.core.fcond import (
+    CapacityError,
     FCondError,
     check_fcond,
     constant_variable_split,
+    seminaive,
     union_branches,
     union_of,
 )
@@ -18,6 +21,7 @@ from repro.core.terms import (
     Var,
     compose,
 )
+from tests.conftest import FIG2_E, FIG2_FIXPOINT, FIG2_S
 
 
 def tc_fix():
@@ -125,3 +129,48 @@ class TestSplit:
     def test_union_of_empty_raises(self):
         with pytest.raises(ValueError):
             union_of([])
+
+
+class TestSeminaive:
+    """Algorithm 1 on Python sets of (src, dst) pairs."""
+
+    E = set(FIG2_E.itertuples(index=False, name=None))
+    S = set(FIG2_S.itertuples(index=False, name=None))
+
+    def run(self, row_cap=None):
+        """Example 2: X = S ∪ X∘E. Returns (result, step calls, size calls)."""
+        calls = {"step": 0, "size": 0}
+
+        def step(delta, x):
+            calls["step"] += 1
+            return {(a, d) for a, b in delta for c, d in self.E if b == c} - x
+
+        def size(rows):
+            calls["size"] += 1
+            return len(rows)
+
+        out = seminaive(frozenset(self.S), step, size, lambda x, d: x | d, row_cap)
+        return out, calls
+
+    def test_paper_example_2(self):
+        out, calls = self.run()
+        assert sorted(out) == FIG2_FIXPOINT
+        # X2 adds 4 rows to X1 = S, X3 adds 2, the third step adds none.
+        assert calls["step"] == 3
+        assert calls["size"] == 3  # one |Δ| per step; no cap, so X is never counted
+
+    def test_row_cap_boundary(self):
+        out, calls = self.run(row_cap=10)
+        assert len(out) == len(FIG2_FIXPOINT)
+        assert calls["size"] == 4  # X is counted once, then a running total
+        with pytest.raises(CapacityError, match="row_cap=9"):
+            self.run(row_cap=9)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(fcond, "MAX_ITERATIONS", 5)
+
+        def fresh_row(delta, x):
+            return {max(x) + 1}
+
+        with pytest.raises(RuntimeError, match="did not converge in 5"):
+            seminaive({0}, fresh_row, len, lambda x, d: x | d)

@@ -4,8 +4,10 @@ DuckDB), the auto selection rule, and the P_plw disjointness guarantee."""
 import pandas as pd
 import pytest
 
-from repro.core.compiler_pandas import eval_pandas
+import repro.core.plans as plans
+from repro.core.compiler_pandas import CapacityError, eval_pandas
 from repro.core.compiler_spark import FixConfig, eval_spark
+from repro.core.compiler_sql import eval_duckdb
 from repro.core.plans import extract_constants
 from repro.core.terms import (
     AntiProject,
@@ -202,6 +204,79 @@ class TestRowCap:
         env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
         out = eval_spark(right_tc(), env, spark, FixConfig(row_cap=1000)).toPandas()
         assert pairs(out) == FIG2_FIXPOINT
+
+
+@pytest.mark.parametrize("engine", ["pandas", "duckdb", "gld", "plw_s"])
+def test_every_engine_has_the_same_cap_boundary(spark, fig2_e, fig2_s, engine):
+    """The Fig. 2 fixpoint has 10 rows: a cap of 10 holds, 9 raises, on
+    every engine that runs the shared semi-naive loop."""
+
+    def run(row_cap):
+        if engine == "pandas":
+            return eval_pandas(right_tc(), {"S": fig2_s, "E": fig2_e}, row_cap=row_cap)
+        if engine == "duckdb":
+            return eval_duckdb(right_tc(), {"S": fig2_s, "E": fig2_e}, row_cap=row_cap)
+        env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
+        cfg = FixConfig(strategy=engine, num_partitions=1, row_cap=row_cap)
+        out = eval_spark(right_tc(), env, spark, cfg).toPandas()
+        assert cfg.chosen == [engine]
+        return out
+
+    assert pairs(run(10)) == FIG2_FIXPOINT
+    # For plw_s the cap also bounds the broadcast, so at 9 the 10 rows of
+    # E send it to P_gld; the worker's loop is the pandas case above.
+    with pytest.raises(CapacityError, match="row_cap=9"):
+        run(9)
+
+
+def test_nested_fixpoint_broadcast_fallback(spark, fig2_e, fig2_s, monkeypatch):
+    """Both fixpoints fall back to P_gld; each is evaluated once and
+    records its own plan."""
+    inner = Fix("Y", Union_(Rel("S"), compose(Var("Y"), Rel("E"))))
+    outer = Fix("X", Union_(Rel("S"), compose(Var("X"), inner)))
+    env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
+    monkeypatch.setattr(plans, "BROADCAST_ROW_LIMIT", 1)
+    evaluated = []
+    execute_fixpoint = plans.execute_fixpoint
+
+    def counting(fix, *args, **kwargs):
+        evaluated.append(fix.var)
+        return execute_fixpoint(fix, *args, **kwargs)
+
+    monkeypatch.setattr(plans, "execute_fixpoint", counting)
+    cfg = FixConfig(strategy="plw_s")
+    got = eval_spark(outer, env, spark, cfg).toPandas()
+    assert sorted(evaluated) == ["X", "Y"]
+    assert cfg.chosen == ["gld(broadcast-fallback)"] * 2
+    want = eval_pandas(outer, {"S": fig2_s.copy(), "E": fig2_e.copy()})
+    assert pairs(got) == pairs(want)
+
+
+def test_gld_evaluates_phi_once_per_iteration(spark, fig2_e, fig2_s, monkeypatch):
+    """perfbench counts P_gld iterations by wrapping
+    plans._eval_phi_distributed; Example 2 takes 3 steps."""
+    calls = []
+    eval_phi = plans._eval_phi_distributed
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eval_phi(*args, **kwargs)
+
+    monkeypatch.setattr(plans, "_eval_phi_distributed", counting)
+    env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_e)}
+    out = eval_spark(right_tc(), env, spark, FixConfig(strategy="gld")).toPandas()
+    assert pairs(out) == FIG2_FIXPOINT
+    assert len(calls) == 3
+
+
+def test_unknown_strategy_fails_before_spark_work(spark, fig2_s, monkeypatch):
+    def no_spark(*args, **kwargs):
+        raise AssertionError("evaluated before the strategy was checked")
+
+    monkeypatch.setattr(plans, "eval_spark", no_spark)
+    env = {"S": spark.createDataFrame(fig2_s), "E": spark.createDataFrame(fig2_s)}
+    with pytest.raises(ValueError, match="unknown fixpoint strategy 'plw_x'"):
+        eval_spark(right_tc(), env, spark, FixConfig(strategy="plw_x"))
 
 
 class TestExtractConstants:
