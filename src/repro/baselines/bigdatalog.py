@@ -28,20 +28,27 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..core.compiler_spark import FixConfig, eval_spark
 from ..core.fcond import union_of
-from ..core.planner import _items, _ltr_skeleton
-from ..core.query2mu import DST, GRAPH, GRAPH_SCHEMA, SRC, _Fresh, _resolve, join_project_head
+from ..core.planner import chain
+from ..core.query2mu import (
+    DST,
+    GRAPH,
+    GRAPH_SCHEMA,
+    _Fresh,
+    join_project_head,
+    name_columns,
+    pin,
+    resolve_endpoints,
+)
 from ..core.rewriter import (
-    LinearClosure,
     match_compose,
     match_linear_closure,
     rewrite,
     seeded_closure,
     try_filter_descend,
-    try_push_antiproject,
     try_push_filter,
 )
-from ..core.rpq import CRPQ, distribute_alts, is_var, parse_query, var_col
-from ..core.terms import AntiProject, EqConst, Filter, Fix, Rename, Term, compose, fresh_mid
+from ..core.rpq import CRPQ, distribute_alts, parse_query, seq_items
+from ..core.terms import AntiProject, Fix, Term, compose, fresh_mid
 
 
 def _try_push_join_noreverse(t: Term) -> Optional[Term]:
@@ -62,7 +69,7 @@ def _try_push_join_noreverse(t: Term) -> Optional[Term]:
     return None
 
 
-_PHASE1 = (try_push_filter, try_filter_descend, try_push_antiproject)
+_PHASE1 = (try_push_filter, try_filter_descend)
 _PHASE2 = (_try_push_join_noreverse,)
 
 
@@ -73,32 +80,17 @@ def plan_crpq_bigdatalog(q: CRPQ | str, consts: Mapping[str, int] | None = None)
     consts = consts or {}
     atom_terms = []
     for atom in q.atoms:
-        subj_v = None if is_var(atom.subj) else _resolve(atom.subj, consts)
-        obj_v = None if is_var(atom.obj) else _resolve(atom.obj, consts)
+        subj_v, obj_v, drops = resolve_endpoints(atom, consts)
         branches = []
         for rx in distribute_alts(atom.rx):
-            skel = _ltr_skeleton(_items(rx), subj_v, _Fresh())
-            if obj_v is not None:
-                skel = Filter(EqConst(DST, obj_v), skel)
+            skel = pin(DST, obj_v, chain(seq_items(rx), _Fresh(), end_v=subj_v))
             branches.append(
                 rewrite(skel, GRAPH_SCHEMA, phase1=_PHASE1, phase2=_PHASE2)
             )
         t = union_of(branches)
-        if subj_v is not None:
-            t = AntiProject((SRC,), t)
-        if obj_v is not None:
-            t = AntiProject((DST,), t)
-        if is_var(atom.subj) and atom.subj == atom.obj:
-            from ..core.terms import EqCol
-
-            t = Rename(SRC, var_col(atom.subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
-            atom_terms.append(t)
-            continue
-        if is_var(atom.subj):
-            t = Rename(SRC, var_col(atom.subj), t)
-        if is_var(atom.obj):
-            t = Rename(DST, var_col(atom.obj), t)
-        atom_terms.append(t)
+        if drops:
+            t = AntiProject(drops, t)
+        atom_terms.append(name_columns(t, atom, drops, obj_v))
     return join_project_head(atom_terms, q)
 
 

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.fcond import CapacityError, seminaive
+from ..core.fcond import CapacityError  # noqa: F401  (re-exported for callers)
+from ..core.fcond import seminaive
+from ..core.query2mu import resolve_endpoints
 from ..core.rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, parse_query, var_col
 
 
@@ -119,6 +121,7 @@ def eval_atom_pregel(
     max_rows: int | None = 20_000_000,
 ) -> DataFrame:
     """Evaluate one RPQ atom; returns DataFrame(origin, node) pairs."""
+    subj_v, obj_v, _ = resolve_endpoints(atom, consts)
     nfa = build_nfa(atom.rx)
     closure = nfa.eps_closure()
 
@@ -134,9 +137,8 @@ def eval_atom_pregel(
 
     # Initial messages: the query pattern is traversed from left to
     # right, so only a leading constant is pushed (paper §V-C).
-    if not is_var(atom.subj):
-        v = int(atom.subj) if atom.subj.isdigit() else consts[atom.subj]
-        origins = spark.range(v, v + 1).withColumnRenamed("id", "node")
+    if subj_v is not None:
+        origins = spark.range(subj_v, subj_v + 1).withColumnRenamed("id", "node")
     else:
         origins = (
             graph.select(F.col("src").alias("node"))
@@ -176,9 +178,8 @@ def eval_atom_pregel(
 
     accept_states = [s for s, cl in closure.items() if nfa.accept in cl]
     result = seen.where(F.col("state").isin(accept_states)).select("origin", "node").distinct()
-    if not is_var(atom.obj):
-        v = int(atom.obj) if atom.obj.isdigit() else consts[atom.obj]
-        result = result.where(F.col("node") == v)
+    if obj_v is not None:
+        result = result.where(F.col("node") == obj_v)
     return result
 
 

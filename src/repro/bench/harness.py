@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 

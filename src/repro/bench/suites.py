@@ -12,7 +12,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines.bigdatalog import eval_crpq_bigdatalog, plan_crpq_bigdatalog
+from ..baselines.bigdatalog import eval_crpq_bigdatalog
 from ..baselines.centralized import eval_term_centralized
 from ..baselines.myria import eval_crpq_myria, eval_term_myria
 from ..baselines.pregel import eval_crpq_pregel
@@ -21,7 +21,7 @@ from ..core.cost import GraphStats
 from ..core.paper_queries import UNIPROT_QUERIES, YAGO_QUERIES, uniprot_consts
 from ..core.planner import plan_crpq
 from ..core.queries import anbn_term, reach_term, same_generation_term
-from ..core.query2mu import GRAPH, crpq_to_term
+from ..core.query2mu import GRAPH
 from ..core.rewriter import rewrite
 from ..core.rpq import parse_query
 from ..graphs.generators import add_labels, erdos_renyi, random_tree, snap_lite

@@ -25,7 +25,6 @@ from .fcond import check_fcond, constant_variable_split, seminaive, union_branch
 from .terms import (
     AntiJoin,
     AntiProject,
-    EqCol,
     EqConst,
     Filter,
     Fix,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from .rpq import CRPQ, Alt, Label, Plus, Rx, Seq, is_var, parse_query
+from .rpq import CRPQ, Alt, Plus, Rx, Seq, is_var, parse_query, seq_items
 
 YAGO_QUERIES: dict[str, str] = {
     "Q1": "?x <- ?x isMarriedTo/livesIn/isLocatedIn+/dealsWith+ Argentina",
@@ -117,10 +117,6 @@ def _has_plus(rx: Rx) -> bool:
     return False
 
 
-def _seq_items(rx: Rx) -> list[Rx]:
-    return list(rx.parts) if isinstance(rx, Seq) else [rx]
-
-
 def query_classes(q: CRPQ | str) -> frozenset[str]:
     """C1–C6 membership per the paper's definitions:
 
@@ -132,7 +128,7 @@ def query_classes(q: CRPQ | str) -> frozenset[str]:
         q = parse_query(q)
     classes: set[str] = set()
     for atom in q.atoms:
-        items = _seq_items(atom.rx)
+        items = seq_items(atom.rx)
         plus_pos = [i for i, it in enumerate(items) if _has_plus(it)]
         if not plus_pos:
             continue
@@ -141,7 +137,6 @@ def query_classes(q: CRPQ | str) -> frozenset[str]:
             classes.add("C2")
         if not is_var(atom.subj) and plus_pos:
             classes.add("C3")
-        first_p, last_p = plus_pos[0], plus_pos[-1]
         if any(i > p for p in plus_pos for i in range(len(items)) if i not in plus_pos and i > p):
             classes.add("C4")
         if any(i < p for p in plus_pos for i in range(len(items)) if i not in plus_pos and i < p):
@@ -149,7 +144,6 @@ def query_classes(q: CRPQ | str) -> frozenset[str]:
         for i, j in zip(plus_pos, plus_pos[1:]):
             if j == i + 1:
                 classes.add("C6")
-        del first_p, last_p
     # The paper treats C1 as "single recursion" — queries in other
     # classes are listed there only when recursion-specific rewrites are
     # not required; we keep C1 for every recursive query and report the

@@ -15,9 +15,12 @@ from :mod:`repro.core.rewriter`:
   filter is applied at construction start (so the MuRewriter pass can
   seed everything from the left); the object filter lands outside.
 * **rtl** — the mirror image (fixpoint-reversal made constructive).
-* **merged-ltr / merged-rtl** — the first/last adjacent pure-closure
+* **merged-first / merged-last** — the first/last adjacent pure-closure
   pair becomes one merged fixpoint (merge-fixpoints rule), remaining
   items are seeded around it.
+
+:func:`chain` builds every one of them; the BigDatalog baseline reuses
+its ltr form.
 
 Each skeleton then goes through :func:`repro.core.rewriter.rewrite`
 (pushes filters/antiprojections into fixpoints, seeds closures) and the
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .compiler_spark import FixConfig, eval_spark
@@ -41,24 +43,15 @@ from .query2mu import (
     GRAPH_SCHEMA,
     SRC,
     _Fresh,
-    _resolve,
     join_project_head,
+    name_columns,
+    pin,
+    resolve_endpoints,
     rx_to_term,
 )
 from .rewriter import closure, merged_closure, rewrite, seeded_closure
-from .rpq import CRPQ, Atom, Plus, Rx, distribute_alts, is_var, parse_query, var_col
-from .terms import (
-    AntiProject,
-    EqCol,
-    EqConst,
-    Filter,
-    Rename,
-    Term,
-    Union_,
-    compose,
-    fresh_mid,
-    schema,
-)
+from .rpq import CRPQ, Atom, Plus, Rx, distribute_alts, is_var, parse_query, seq_items
+from .terms import AntiProject, Term, compose, fresh_mid
 
 
 @dataclass
@@ -75,60 +68,32 @@ class PlanReport:
 # ---------------------------------------------------------------------------
 
 
-def _items(rx: Rx) -> list[Rx]:
-    from .rpq import Seq
+def chain(
+    items: list[Rx],
+    fresh: _Fresh,
+    ltr: bool = True,
+    end_v: Optional[int] = None,
+    acc: Optional[Term] = None,
+) -> Term:
+    """A path skeleton for ``items``, built one item at a time from the
+    left end (``ltr``) or from the right end.
 
-    return list(rx.parts) if isinstance(rx, Seq) else [rx]
-
-
-def _base(rx: Rx, fresh: _Fresh) -> Term:
-    return rx_to_term(rx, fresh)
-
-
-def _ltr_skeleton(items: list[Rx], subj_v: Optional[int], fresh: _Fresh) -> Term:
-    acc: Optional[Term] = None
-    for it in items:
-        if isinstance(it, Plus):
-            step = _base(it.child, fresh)
-            if acc is None:
-                acc = closure(step, "right")
-                if subj_v is not None:
-                    acc = Filter(EqConst(SRC, subj_v), acc)
-                    subj_v = None
-            else:
-                seed = compose(acc, step, fresh_mid(acc, step))
-                acc = seeded_closure(seed, step, "right")
-        else:
-            t = _base(it, fresh)
-            if acc is None:
-                acc = Filter(EqConst(SRC, subj_v), t) if subj_v is not None else t
-                subj_v = None
-            else:
-                acc = compose(acc, t, fresh_mid(acc, t))
-    assert acc is not None
-    return acc
-
-
-def _rtl_skeleton(items: list[Rx], obj_v: Optional[int], fresh: _Fresh) -> Term:
-    acc: Optional[Term] = None
-    for it in reversed(items):
-        if isinstance(it, Plus):
-            step = _base(it.child, fresh)
-            if acc is None:
-                acc = closure(step, "left")
-                if obj_v is not None:
-                    acc = Filter(EqConst(DST, obj_v), acc)
-                    obj_v = None
-            else:
-                seed = compose(step, acc, fresh_mid(acc, step))
-                acc = seeded_closure(seed, step, "left")
-        else:
-            t = _base(it, fresh)
-            if acc is None:
-                acc = Filter(EqConst(DST, obj_v), t) if obj_v is not None else t
-                obj_v = None
-            else:
-                acc = compose(t, acc, fresh_mid(acc, t))
+    Each closure is oriented to grow away from the start and is seeded
+    with the path built so far, so the MuRewriter pass can seed
+    everything from that end. ``end_v`` pins the starting endpoint
+    (src for ltr, dst otherwise) right after the first item; ``acc`` is
+    an already-built start to extend.
+    """
+    start, orientation = (SRC, "right") if ltr else (DST, "left")
+    for it in items if ltr else reversed(items):
+        new = rx_to_term(it.child if isinstance(it, Plus) else it, fresh)
+        if acc is None:
+            acc = closure(new, orientation) if isinstance(it, Plus) else new
+            acc, end_v = pin(start, end_v, acc), None
+            continue
+        mid = fresh_mid(acc, new)
+        path = compose(acc, new, mid) if ltr else compose(new, acc, mid)
+        acc = seeded_closure(path, new, orientation) if isinstance(it, Plus) else path
     assert acc is not None
     return acc
 
@@ -146,28 +111,17 @@ def _merged_skeletons(
     if not pairs:
         return out
     for name, i in (("merged-first", pairs[0]), ("merged-last", pairs[-1])):
-        a = _base(items[i].child, fresh)
-        b = _base(items[i + 1].child, fresh)
-        merged = merged_closure(a, b)
-        # Chain items before i (LTR into the merged fix's left) and after
-        # i+1 (appended on the right).
-        acc: Term = merged
+        a = rx_to_term(items[i].child, fresh)
+        b = rx_to_term(items[i + 1].child, fresh)
+        acc: Term = merged_closure(a, b)
+        # Items before i chain LTR into the merged fix's left; items
+        # after i+1 are appended on the right.
         if i > 0:
-            left = _ltr_skeleton(items[:i], subj_v, fresh)
+            left = chain(items[:i], fresh, end_v=subj_v)
             acc = compose(left, acc, fresh_mid(left, acc))
-        elif subj_v is not None:
-            acc = Filter(EqConst(SRC, subj_v), acc)
-        for it in items[i + 2 :]:
-            if isinstance(it, Plus):
-                step = _base(it.child, fresh)
-                seed = compose(acc, step, fresh_mid(acc, step))
-                acc = seeded_closure(seed, step, "right")
-            else:
-                t = _base(it, fresh)
-                acc = compose(acc, t, fresh_mid(acc, t))
-        if obj_v is not None:
-            acc = Filter(EqConst(DST, obj_v), acc)
-        out.append((name, acc))
+        else:
+            acc = pin(SRC, subj_v, acc)
+        out.append((name, pin(DST, obj_v, chain(items[i + 2 :], fresh, acc=acc))))
         if pairs[0] == pairs[-1]:
             break
     return out
@@ -178,38 +132,30 @@ def plan_branch(
     subj_v: Optional[int],
     obj_v: Optional[int],
     cm: CostModel,
-    drop_src: bool = False,
-    drop_dst: bool = False,
+    drops: tuple[str, ...] = (),
 ) -> tuple[Term, float, list[tuple[str, float]]]:
     """Enumerate skeletons for one alternation-free branch, rewrite each
     with MuRewriter, cost them, return the cheapest.
 
-    ``drop_src``/``drop_dst``: the endpoint is not needed downstream
-    (constant endpoint, or a variable absent from the head and every
-    other atom) — the antiprojection is applied *before* costing so the
-    push-antiprojection rewrite influences plan choice (e.g. reach-style
-    queries prefer the orientation whose fixpoint carries one column).
+    ``drops``: the endpoint columns not needed downstream (see
+    :func:`repro.core.query2mu.resolve_endpoints`). The antiprojection
+    is applied *before* costing so the push-antiprojection rewrite
+    influences plan choice (e.g. reach-style queries prefer the
+    orientation whose fixpoint carries one column).
     """
-    env = GRAPH_SCHEMA
-    cands: list[tuple[str, Term]] = []
     fresh = _Fresh()
-    ltr = _ltr_skeleton(items, subj_v, fresh)
-    if obj_v is not None:
-        ltr = Filter(EqConst(DST, obj_v), ltr)
-    cands.append(("ltr", ltr))
-    rtl = _rtl_skeleton(items, obj_v, fresh)
-    if subj_v is not None:
-        rtl = Filter(EqConst(SRC, subj_v), rtl)
-    cands.append(("rtl", rtl))
+    cands: list[tuple[str, Term]] = [
+        ("ltr", pin(DST, obj_v, chain(items, fresh, end_v=subj_v))),
+        ("rtl", pin(SRC, subj_v, chain(items, fresh, ltr=False, end_v=obj_v))),
+    ]
     cands.extend(_merged_skeletons(items, subj_v, obj_v, fresh))
 
-    drops = tuple(c for c, d in ((SRC, drop_src), (DST, drop_dst)) if d)
     best: tuple[Term, float] | None = None
     scored: list[tuple[str, float]] = []
     for name, skel in cands:
-        if drops and drops != (SRC, DST):
+        if drops:
             skel = AntiProject(drops, skel)
-        t = rewrite(skel, env)
+        t = rewrite(skel, GRAPH_SCHEMA)
         c = cm.cost(t)
         scored.append((name, c))
         if best is None or c < best[1]:
@@ -231,32 +177,16 @@ def plan_atom(
 ) -> tuple[Term, float, list]:
     """Plan one atom. ``droppable`` lists this atom's endpoint variables
     that no other atom and no head position needs."""
-    subj_v = None if is_var(atom.subj) else _resolve(atom.subj, consts)
-    obj_v = None if is_var(atom.obj) else _resolve(atom.obj, consts)
-    same_var = is_var(atom.subj) and atom.subj == atom.obj
-    drop_src = (subj_v is not None) or (atom.subj in droppable and not same_var)
-    drop_dst = (obj_v is not None) or (atom.obj in droppable and not same_var)
-    if drop_src and drop_dst:
-        drop_dst = False  # keep at least one column (0-ary relations unsupported)
-    branches = distribute_alts(atom.rx)
+    subj_v, obj_v, drops = resolve_endpoints(atom, consts, droppable)
     terms: list[Term] = []
     total = 0.0
     scored_all: list[tuple[str, float]] = []
-    for rx in branches:
-        t, c, scored = plan_branch(_items(rx), subj_v, obj_v, cm, drop_src, drop_dst)
+    for rx in distribute_alts(atom.rx):
+        t, c, scored = plan_branch(seq_items(rx), subj_v, obj_v, cm, drops)
         terms.append(t)
         total += c
         scored_all.extend(scored)
-    t = union_of(terms)
-    # Endpoint finishing: name the surviving variable columns.
-    if same_var:
-        t = Rename(SRC, var_col(atom.subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
-        return t, total, scored_all
-    if is_var(atom.subj) and not drop_src:
-        t = Rename(SRC, var_col(atom.subj), t)
-    if is_var(atom.obj) and not drop_dst:
-        t = Rename(DST, var_col(atom.obj), t)
-    return t, total, scored_all
+    return name_columns(union_of(terms), atom, drops, obj_v), total, scored_all
 
 
 def plan_crpq(

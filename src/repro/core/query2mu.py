@@ -12,13 +12,15 @@ facts table of triples). A regex compiles to a binary (src,dst) term:
                        (:mod:`repro.core.planner`) explores better
                        seeded/merged/reversed forms.
 
-An atom ``subj rx obj`` filters/renames endpoints; a CRPQ joins its
-atoms on shared variables and antiprojects to the head.
+An atom ``subj rx obj`` filters/renames endpoints
+(:func:`resolve_endpoints` and :func:`name_columns`, shared with the
+planner and the baselines); a CRPQ joins its atoms on shared variables
+and antiprojects to the head.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var, var_col
 from .terms import (
@@ -84,27 +86,54 @@ def rx_to_term(rx: Rx, fresh: _Fresh | None = None) -> Term:
 
 
 def atom_to_term(atom: Atom, consts: Mapping[str, int], fresh: _Fresh | None = None) -> Term:
-    """Translate an atom; output columns are variable columns (v_*)."""
-    t = rx_to_term(atom.rx, fresh)
-    return bind_endpoints(t, atom, consts)
+    """Translate an atom; the endpoint filters and drops wrap the path
+    term from outside."""
+    subj_v, obj_v, drops = resolve_endpoints(atom, consts)
+    t = pin(DST, obj_v, pin(SRC, subj_v, rx_to_term(atom.rx, fresh)))
+    if drops:
+        t = AntiProject(drops, t)
+    return name_columns(t, atom, drops, obj_v)
 
 
-def bind_endpoints(t: Term, atom: Atom, consts: Mapping[str, int]) -> Term:
-    """Apply endpoint constants/variable renames to a binary term for
-    ``atom``. Shared by the naive translation and the planner (which
-    pushes the filters itself but reuses the renaming logic)."""
-    subj, obj = atom.subj, atom.obj
-    if not is_var(subj):
-        t = AntiProject((SRC,), Filter(EqConst(SRC, _resolve(subj, consts)), t))
-    if not is_var(obj):
-        t = AntiProject((DST,), Filter(EqConst(DST, _resolve(obj, consts)), t))
-    if is_var(subj) and is_var(obj) and subj == obj:
-        t = Rename(SRC, var_col(subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
-        return t
-    if is_var(subj):
-        t = Rename(SRC, var_col(subj), t)
-    if is_var(obj):
-        t = Rename(DST, var_col(obj), t)
+def resolve_endpoints(
+    atom: Atom, consts: Mapping[str, int], droppable: frozenset[str] = frozenset()
+) -> tuple[Optional[int], Optional[int], tuple[str, ...]]:
+    """The one endpoint decision shared by every translator.
+
+    Returns ``(subj_v, obj_v, drops)``: the resolved constants (``None``
+    for a variable endpoint) and the endpoint columns nothing downstream
+    needs. A column is dropped when its endpoint is a constant or a
+    ``droppable`` variable (one no other atom and no head position
+    uses); src is dropped first and one column always stays, since
+    0-ary relations are unsupported.
+    """
+    subj_v = None if is_var(atom.subj) else _resolve(atom.subj, consts)
+    obj_v = None if is_var(atom.obj) else _resolve(atom.obj, consts)
+    if atom.subj == atom.obj and is_var(atom.subj):
+        return subj_v, obj_v, ()
+    for col, end, v in ((SRC, atom.subj, subj_v), (DST, atom.obj, obj_v)):
+        if v is not None or end in droppable:
+            return subj_v, obj_v, (col,)
+    return subj_v, obj_v, ()
+
+
+def pin(col: str, v: Optional[int], t: Term) -> Term:
+    """σ_col=v(t) for a constant endpoint ``v``; ``t`` for a variable."""
+    return t if v is None else Filter(EqConst(col, v), t)
+
+
+def name_columns(t: Term, atom: Atom, drops: tuple[str, ...], obj_v: Optional[int]) -> Term:
+    """Name the columns of ``atom``'s binary term ``t`` that survive
+    ``drops``: a variable endpoint becomes ``v_<var>`` (``?x r ?x`` keeps
+    the src = dst rows), a constant object that had to stay becomes
+    ``c_<value>``, so two atoms join on it only when they fix the same
+    value (a cross product either way)."""
+    if atom.subj == atom.obj and is_var(atom.subj):
+        return Rename(SRC, var_col(atom.subj), AntiProject((DST,), Filter(EqCol(SRC, DST), t)))
+    if SRC not in drops:  # a constant subject is always dropped
+        t = Rename(SRC, var_col(atom.subj), t)
+    if DST not in drops:
+        t = Rename(DST, var_col(atom.obj) if obj_v is None else f"c_{obj_v}", t)
     return t
 
 

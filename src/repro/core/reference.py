@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .rpq import CRPQ, Alt, Atom, Label, Plus, Rx, Seq, is_var
+from .rpq import CRPQ, Alt, Label, Plus, Rx, Seq, is_var
 
 Triple = tuple[int, str, int]
 Pair = tuple[int, int]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .fcond import constant_variable_split, union_branches, union_of
+from .fcond import constant_variable_split, union_branches
 from .stabilizer import stable_columns, used_columns
 from .terms import (
     AntiProject,

@@ -111,9 +111,6 @@ def var_col(endpoint: str) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][\w:.']*|\d+|[-/+()|,]|\?[A-Za-z_]\w*|<-)")
-
-
 class ParseError(ValueError):
     pass
 
@@ -294,6 +291,11 @@ def distribute_alts(rx: Rx) -> list[Rx]:
             out = [prefix + [b] for prefix in out for b in branches]
         return _dedupe([_flatten_seq(parts) for parts in out])
     raise TypeError(f"not a regex: {rx!r}")
+
+
+def seq_items(rx: Rx) -> list[Rx]:
+    """The concatenated items of ``rx`` (one item unless it is a Seq)."""
+    return list(rx.parts) if isinstance(rx, Seq) else [rx]
 
 
 def _dedupe(xs: list[Rx]) -> list[Rx]:
